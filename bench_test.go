@@ -7,6 +7,7 @@ package calcite_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -659,6 +660,37 @@ func BenchmarkOptimize_JoinOrder(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOptimize_AdhocStar measures planner speed on ad-hoc 5-factor star
+// joins with filters and aggregates: each iteration runs Framework.Optimize
+// (logical rewrites, join-order enumeration, Volcano implementation) over
+// the next of the 40 four-dimension statements of the plan-identity set.
+// Every statement has executed once beforehand, so the feedback store holds
+// corrections and the metadata chain consults it, as on a serving framework.
+func BenchmarkOptimize_AdhocStar(b *testing.B) {
+	conn := adhocStarConn()
+	var logical []rel.Node
+	for _, sql := range adhocStarStatements(adhocSeed, adhocPerShape) {
+		if strings.Count(sql, " JOIN ") != 4 {
+			continue
+		}
+		if _, err := conn.Query(sql); err != nil {
+			b.Fatal(err)
+		}
+		l, err := conn.Framework.ParseAndConvert(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		logical = append(logical, l)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Framework.Optimize(logical[i%len(logical)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"calcite/internal/core"
@@ -365,5 +366,40 @@ func TestLargerJoin(t *testing.T) {
 	rows := mustRows(t, f, "SELECT COUNT(*) FROM big_a JOIN big_b ON big_a.id = big_b.aid")
 	if c, _ := types.AsInt(rows[0][0]); c != int64(n) {
 		t.Fatalf("join count = %v, want %d", rows[0][0], n)
+	}
+}
+
+// TestConcurrentPlanCacheMisses plans on one framework from several
+// goroutines: every statement text is distinct, so each execution misses the
+// plan cache, optimizes and records its planner in LastPlanner. Run under
+// -race it checks that concurrent planning shares no unsynchronized state.
+func TestConcurrentPlanCacheMisses(t *testing.T) {
+	f := newHR(t)
+	const workers, perWorker = 4, 6
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				sql := fmt.Sprintf("SELECT e.name, d.dname FROM emps e JOIN depts d ON e.deptno = d.deptno WHERE e.sal > %d", 1000*w+i)
+				if _, err := f.ExecuteOpts(sql, core.ExecOptions{}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if f.LastPlanner == nil || f.LastPlanner.Fired == 0 {
+		t.Fatalf("LastPlanner not recorded: %+v", f.LastPlanner)
+	}
+	if misses := f.PlanCache().Counters().Misses; misses < workers*perWorker {
+		t.Fatalf("plan-cache misses = %d, want >= %d", misses, workers*perWorker)
 	}
 }

@@ -95,9 +95,10 @@ type PlanEstimates struct {
 // operator's estimated row count and correction key.
 func EstimatePlan(fingerprint string, root rel.Node, rowCount func(rel.Node) float64) *PlanEstimates {
 	pe := &PlanEstimates{Fingerprint: fingerprint, ByPath: map[string]OpEstimate{}}
+	keys := keyMemo{}
 	var walk func(n rel.Node, path string)
 	walk = func(n rel.Node, path string) {
-		e := OpEstimate{Path: path, Op: n.Op(), Key: NodeKey(n), Rows: rowCount(n)}
+		e := OpEstimate{Path: path, Op: n.Op(), Key: keys.key(n), Rows: rowCount(n)}
 		if j, ok := unwrap(n).(*rel.Join); ok {
 			e.JoinSig = conditionSignature(n, j.Condition)
 		}
@@ -130,46 +131,63 @@ func (pe *PlanEstimates) PathRows() map[string]float64 {
 // convention prefix stripped, so a logical join explored by the join-order
 // enumeration and the enumerable hash join that executed it hash alike.
 func NodeKey(n rel.Node) string {
-	h := uint64(14695981039346656037)
-	writeNodeKey(n, &h)
-	return strconv.FormatUint(h, 16)
+	return keyMemo{}.key(n)
 }
 
-func writeNodeKey(n rel.Node, h *uint64) {
-	u := n
-	for {
-		w, ok := u.(rel.Wrapped)
-		if !ok {
-			break
-		}
-		u = w.Unwrap()
+// keyMemo memoizes NodeKey hashes by node identity for one metadata session
+// or one EstimatePlan walk. A node's hash is composed from its own
+// (unwrapped) operator and attributes plus its inputs' hashes, so each node
+// is hashed once. Within a Volcano session the hash of a node over a subset
+// reference can go stale when sets merge; no executed plan contains one, so
+// such keys never match a correction either way.
+type keyMemo map[rel.Node]uint64
+
+func (m keyMemo) key(n rel.Node) string {
+	return strconv.FormatUint(m.hash(n), 16)
+}
+
+func (m keyMemo) hash(n rel.Node) uint64 {
+	if h, ok := m[n]; ok {
+		return h
 	}
+	u := unwrap(n)
 	op := strings.TrimPrefix(u.Op(), "Logical")
 	op = strings.TrimPrefix(op, "Enumerable")
-	hashString(h, op)
+	h := uint64(14695981039346656037)
+	hashString(&h, op)
 	if a := u.Attrs(); a != "" {
-		hashString(h, "{")
-		hashString(h, a)
-		hashString(h, "}")
+		hashString(&h, "{")
+		hashString(&h, a)
+		hashString(&h, "}")
 	}
 	// Children come from the original node: Unwrap preserves inputs, and the
 	// wrappers' own input lists are authoritative for the executed tree.
 	if ins := n.Inputs(); len(ins) > 0 {
-		hashString(h, "(")
+		hashString(&h, "(")
 		for i, in := range ins {
 			if i > 0 {
-				hashString(h, ",")
+				hashString(&h, ",")
 			}
-			writeNodeKey(in, h)
+			hashUint64(&h, m.hash(in))
 		}
-		hashString(h, ")")
+		hashString(&h, ")")
 	}
+	m[n] = h
+	return h
 }
 
 func hashString(h *uint64, s string) {
 	for i := 0; i < len(s); i++ {
 		*h ^= uint64(s[i])
 		*h *= 1099511628211
+	}
+}
+
+func hashUint64(h *uint64, v uint64) {
+	for i := 0; i < 8; i++ {
+		*h ^= v & 0xff
+		*h *= 1099511628211
+		v >>= 8
 	}
 }
 
@@ -491,10 +509,14 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 // an operator with the same canonical shape has been observed, bounded to
 // within MaxRatio of the optimizer's own estimate at last harvest.
 func (s *Store) CorrectedRowCount(n rel.Node) (float64, bool) {
+	return s.correctedRowCount(n, keyMemo{})
+}
+
+func (s *Store) correctedRowCount(n rel.Node, keys keyMemo) (float64, bool) {
 	if s.correctionCount.Load() == 0 {
 		return 0, false
 	}
-	key := NodeKey(n)
+	key := keys.key(n)
 	s.mu.RLock()
 	c, ok := s.corrections[key]
 	if !ok {
@@ -534,12 +556,15 @@ func (s *Store) CorrectedSelectivity(n rel.Node, predicate rex.Node) (float64, b
 
 // MetaProvider adapts the store into the metadata provider chain: RowCount
 // answers from observed cardinalities, Selectivity from observed join
-// selectivities, everything else falls through.
+// selectivities, everything else falls through. Each call returns a
+// provider for one metadata session: it memoizes node keys, so it must not
+// be shared between sessions.
 func (s *Store) MetaProvider() meta.Provider {
+	keys := keyMemo{}
 	return meta.Provider{
 		Name: "feedback",
 		RowCount: func(q *meta.Query, n rel.Node) (float64, bool) {
-			return s.CorrectedRowCount(n)
+			return s.correctedRowCount(n, keys)
 		},
 		Selectivity: func(q *meta.Query, n rel.Node, predicate rex.Node) (float64, bool) {
 			return s.CorrectedSelectivity(n, predicate)

@@ -16,12 +16,14 @@
 // The paper notes that provider implementations include "a cache for
 // metadata results, which yields significant performance improvements";
 // Query memoizes every metadata call by (metric, plan digest, args) and the
-// cache can be disabled to measure its effect (experiment E8).
+// cache can be disabled to measure its effect (experiment E8). The session's
+// rel.Memo supplies the digests: each node's is composed once per session
+// from its inputs', and the planners share it for duplicate detection.
 package meta
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"calcite/internal/cost"
 	"calcite/internal/rel"
@@ -58,8 +60,8 @@ type Provider struct {
 // is not safe for concurrent use; each planning session owns one.
 type Query struct {
 	providers []Provider
-	cache     map[string]any
-	digests   map[rel.Node]string
+	cache     map[cacheKey]any
+	memo      *rel.Memo
 	// CacheEnabled toggles memoization (for experiment E8).
 	CacheEnabled bool
 	// Calls counts provider invocations (cache misses), exposed for tests
@@ -72,8 +74,8 @@ type Query struct {
 func NewQuery(providers ...Provider) *Query {
 	q := &Query{
 		providers:    append(append([]Provider(nil), providers...), DefaultProvider()),
-		cache:        map[string]any{},
-		digests:      map[rel.Node]string{},
+		cache:        map[cacheKey]any{},
+		memo:         rel.NewMemo(),
 		CacheEnabled: true,
 	}
 	return q
@@ -87,20 +89,35 @@ func (q *Query) Prepend(p Provider) {
 	q.providers = append([]Provider{p}, q.providers...)
 }
 
-func (q *Query) cacheKey(metric string, n rel.Node, extra string) string {
-	// Digests walk the whole subtree; memoize by node identity (plan nodes
-	// are immutable) so cache lookups stay cheaper than re-computation.
-	d, ok := q.digests[n]
-	if !ok {
-		d = rel.Digest(n)
-		q.digests[n] = d
+// Memo returns the session's digest memo. It lives as long as the Query —
+// one planning session — and survives InvalidateCache: digests depend only
+// on the (immutable) nodes, except placeholder-dependent ones, which the
+// planner that renames placeholders forgets.
+func (q *Query) Memo() *rel.Memo { return q.memo }
+
+// cacheKey identifies one memoized metadata result.
+type cacheKey struct {
+	metric string
+	digest string
+	extra  string
+}
+
+// colsKey renders a column list as fmt.Sprint does ("[1 2]"), without fmt.
+func colsKey(cols []int) string {
+	b := make([]byte, 0, 2+3*len(cols))
+	b = append(b, '[')
+	for i, c := range cols {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return metric + "\x00" + d + "\x00" + extra
+	return string(append(b, ']'))
 }
 
 func lookup[T any](q *Query, metric string, n rel.Node, extra string, compute func() T) T {
 	if q.CacheEnabled {
-		key := q.cacheKey(metric, n, extra)
+		key := cacheKey{metric: metric, digest: q.memo.Digest(n), extra: extra}
 		if v, ok := q.cache[key]; ok {
 			return v.(T)
 		}
@@ -147,7 +164,7 @@ func (q *Query) Selectivity(n rel.Node, predicate rex.Node) float64 {
 
 // DistinctRowCount estimates distinct combinations of cols in n's output.
 func (q *Query) DistinctRowCount(n rel.Node, cols []int) float64 {
-	return lookup(q, "distinct", n, fmt.Sprint(cols), func() float64 {
+	return lookup(q, "distinct", n, colsKey(cols), func() float64 {
 		q.Calls++
 		for _, p := range q.providers {
 			if p.DistinctRowCount != nil {
@@ -162,7 +179,7 @@ func (q *Query) DistinctRowCount(n rel.Node, cols []int) float64 {
 
 // ColumnsUnique reports whether cols form a unique key of n's output.
 func (q *Query) ColumnsUnique(n rel.Node, cols []int) bool {
-	return lookup(q, "unique", n, fmt.Sprint(cols), func() bool {
+	return lookup(q, "unique", n, colsKey(cols), func() bool {
 		q.Calls++
 		for _, p := range q.providers {
 			if p.ColumnsUnique != nil {
@@ -252,7 +269,7 @@ func (q *Query) MaxParallelism(n rel.Node) int {
 // InvalidateCache clears memoized results (used after the plan graph
 // mutates between planner phases).
 func (q *Query) InvalidateCache() {
-	q.cache = map[string]any{}
+	q.cache = map[cacheKey]any{}
 }
 
 func clamp01(v float64) float64 {

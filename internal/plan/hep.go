@@ -102,6 +102,7 @@ func (p *HepPlanner) applyOnce(n rel.Node, changed *bool) rel.Node {
 }
 
 func (p *HepPlanner) applyRulesAt(n rel.Node) rel.Node {
+	memo := p.Meta.Memo()
 	for _, r := range p.rules {
 		binding := matchConcrete(r.Operand(), n)
 		if binding == nil {
@@ -110,7 +111,7 @@ func (p *HepPlanner) applyRulesAt(n rel.Node) rel.Node {
 		sink := &hepSink{}
 		call := &Call{Rels: binding, Meta: p.Meta, planner: sink}
 		ruleFire(r, call)
-		if sink.result != nil && rel.Digest(sink.result) != rel.Digest(n) {
+		if sink.result != nil && memo.Digest(sink.result) != memo.Digest(n) {
 			p.Fired++
 			return sink.result
 		}

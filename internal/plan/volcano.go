@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"calcite/internal/cost"
@@ -62,6 +63,7 @@ type VolcanoPlanner struct {
 	// Stats, exposed for tests and the planning benchmarks.
 	Fired  int
 	Rounds int
+	Merges int
 }
 
 type converterFactory struct {
@@ -114,9 +116,13 @@ func (s *SubsetRef) Inputs() []rel.Node   { return nil }
 func (s *SubsetRef) RowType() *types.Type { return s.rowType }
 func (s *SubsetRef) Traits() trait.Set    { return trait.NewSet(s.conv) }
 func (s *SubsetRef) Attrs() string {
-	return fmt.Sprintf("set=%d, conv=%s", s.planner.find(s.setID), s.conv.ConventionName())
+	return "set=" + strconv.Itoa(s.planner.find(s.setID)) + ", conv=" + s.conv.ConventionName()
 }
 func (s *SubsetRef) WithNewInputs(inputs []rel.Node) rel.Node { return s }
+
+// PlaceholderNode marks subset references as rel.Placeholders: their digest
+// names the set, which changes when sets merge.
+func (s *SubsetRef) PlaceholderNode() {}
 
 // representative returns a non-subset member of the set, preferring logical
 // expressions (stable metadata).
@@ -200,6 +206,9 @@ func (p *VolcanoPlanner) find(id int) int {
 
 func (p *VolcanoPlanner) set(id int) *eqSet { return p.sets[p.find(id)] }
 
+// digest returns n's digest from the session memo.
+func (p *VolcanoPlanner) digest(n rel.Node) string { return p.Meta.Memo().Digest(n) }
+
 // register interns n (and its subtree) and returns its set id.
 func (p *VolcanoPlanner) register(n rel.Node) int {
 	if s, ok := n.(*SubsetRef); ok {
@@ -208,7 +217,7 @@ func (p *VolcanoPlanner) register(n rel.Node) int {
 	for _, in := range n.Inputs() {
 		p.register(in)
 	}
-	d := rel.Digest(n)
+	d := p.digest(n)
 	if id, ok := p.byDigest[d]; ok {
 		return p.find(id)
 	}
@@ -228,7 +237,7 @@ func (p *VolcanoPlanner) addToSet(id int, n rel.Node) {
 	for _, in := range n.Inputs() {
 		p.register(in)
 	}
-	d := rel.Digest(n)
+	d := p.digest(n)
 	if other, ok := p.byDigest[d]; ok {
 		p.merge(id, other)
 		return
@@ -250,7 +259,7 @@ func (p *VolcanoPlanner) materializeConverters(setID int, n rel.Node) {
 	for _, cf := range p.converterFactories[conv.ConventionName()] {
 		sub := &SubsetRef{planner: p, setID: p.find(setID), conv: conv, rowType: n.RowType()}
 		converted := cf.factory(sub)
-		d := rel.Digest(converted)
+		d := p.digest(converted)
 		if _, ok := p.byDigest[d]; ok {
 			continue
 		}
@@ -269,10 +278,14 @@ func (p *VolcanoPlanner) merge(a, b int) {
 		return
 	}
 	p.parent[rb] = ra
+	p.Merges++
+	// Subset references to rb now render as ra: every digest composed from
+	// one is stale.
+	p.Meta.Memo().ForgetPlaceholders()
 	seen := map[string]bool{}
 	var merged []rel.Node
 	for _, r := range append(p.sets[ra].rels, p.sets[rb].rels...) {
-		d := rel.Digest(r)
+		d := p.digest(r)
 		if !seen[d] {
 			seen[d] = true
 			merged = append(merged, r)
@@ -294,7 +307,7 @@ func (p *VolcanoPlanner) reindex() {
 		seen := map[string]bool{}
 		var kept []rel.Node
 		for _, r := range set.rels {
-			d := rel.Digest(r)
+			d := p.digest(r)
 			if seen[d] {
 				continue
 			}
@@ -401,7 +414,7 @@ func (p *VolcanoPlanner) fireRound() int {
 	for _, it := range worklist {
 		for _, r := range p.rules {
 			for _, binding := range p.matchOperand(r.Operand(), it.n, 0) {
-				key := bindingKey(r, binding)
+				key := p.bindingKey(r, binding)
 				if p.firedKey[key] {
 					continue
 				}
@@ -422,12 +435,12 @@ func (p *VolcanoPlanner) fireRound() int {
 	return fired
 }
 
-func bindingKey(r Rule, binding []rel.Node) string {
+func (p *VolcanoPlanner) bindingKey(r Rule, binding []rel.Node) string {
 	var b strings.Builder
 	b.WriteString(r.RuleName())
 	for _, n := range binding {
 		b.WriteByte('\x00')
-		b.WriteString(rel.Digest(n))
+		b.WriteString(p.digest(n))
 	}
 	return b.String()
 }
@@ -492,8 +505,7 @@ func (p *VolcanoPlanner) membersOf(in rel.Node) []rel.Node {
 	if s, ok := in.(*SubsetRef); ok {
 		id = s.setID
 	} else {
-		d := rel.Digest(in)
-		known, ok := p.byDigest[d]
+		known, ok := p.byDigest[p.digest(in)]
 		if !ok {
 			return []rel.Node{in}
 		}
@@ -548,10 +560,18 @@ func (p *VolcanoPlanner) best(setID int, conv trait.Convention, memo map[bestKey
 
 	set := p.sets[setID]
 	// Deterministic order for stable plans.
-	rels := append([]rel.Node(nil), set.rels...)
-	sort.Slice(rels, func(i, j int) bool { return rel.Digest(rels[i]) < rel.Digest(rels[j]) })
+	type member struct {
+		digest string
+		rel    rel.Node
+	}
+	members := make([]member, len(set.rels))
+	for i, r := range set.rels {
+		members[i] = member{p.digest(r), r}
+	}
+	sort.Slice(members, func(i, j int) bool { return members[i].digest < members[j].digest })
 
-	for _, r := range rels {
+	for _, m := range members {
+		r := m.rel
 		if _, ok := r.(*SubsetRef); ok {
 			continue
 		}
@@ -568,7 +588,7 @@ func (p *VolcanoPlanner) best(setID int, conv trait.Convention, memo map[bestKey
 			if s, ok := in.(*SubsetRef); ok {
 				childNode, childCost = p.best(s.setID, s.conv, memo)
 			} else {
-				cid, ok := p.byDigest[rel.Digest(in)]
+				cid, ok := p.byDigest[p.digest(in)]
 				if !ok {
 					childNode, childCost = in, p.Meta.CumulativeCost(in)
 				} else {
@@ -602,6 +622,18 @@ func (p *VolcanoPlanner) best(setID int, conv trait.Convention, memo map[bestKey
 // ExpressionCount returns the number of registered expressions (for tests
 // and the planning benchmarks).
 func (p *VolcanoPlanner) ExpressionCount() int { return p.nRels }
+
+// Rels returns the expressions of every live equivalence set (for tests and
+// diagnostics).
+func (p *VolcanoPlanner) Rels() []rel.Node {
+	var out []rel.Node
+	for id, set := range p.sets {
+		if p.find(id) == id {
+			out = append(out, set.rels...)
+		}
+	}
+	return out
+}
 
 // SetCount returns the number of live equivalence sets.
 func (p *VolcanoPlanner) SetCount() int {

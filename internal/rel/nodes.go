@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"calcite/internal/rex"
@@ -118,11 +119,17 @@ func NewProjectTraits(op string, ts trait.Set, input Node, exprs []rex.Node, nam
 }
 
 func (p *Project) Attrs() string {
-	parts := make([]string, len(p.Exprs))
+	var b strings.Builder
 	for i, e := range p.Exprs {
-		parts[i] = p.rowType.Fields[i].Name + "=[" + e.String() + "]"
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(p.rowType.Fields[i].Name)
+		b.WriteString("=[")
+		b.WriteString(e.String())
+		b.WriteByte(']')
 	}
-	return strings.Join(parts, ", ")
+	return b.String()
 }
 
 func (p *Project) FieldNames() []string { return p.rowType.FieldNames() }
@@ -221,7 +228,7 @@ func NewJoinTraits(op string, ts trait.Set, kind JoinKind, left, right Node, con
 }
 
 func (j *Join) Attrs() string {
-	return fmt.Sprintf("condition=[%s], joinType=[%s]", j.Condition.String(), j.Kind)
+	return "condition=[" + j.Condition.String() + "], joinType=[" + j.Kind.String() + "]"
 }
 
 func (j *Join) Left() Node  { return j.inputs[0] }
@@ -278,7 +285,8 @@ func (a *Aggregate) Attrs() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "$%d", k)
+		b.WriteByte('$')
+		b.WriteString(strconv.Itoa(k))
 	}
 	b.WriteString("]")
 	for _, c := range a.Calls {
@@ -318,14 +326,14 @@ func NewSortTraits(op string, ts trait.Set, input Node, collation trait.Collatio
 }
 
 func (s *Sort) Attrs() string {
-	parts := []string{"sort=" + s.Collation.String()}
+	a := "sort=" + s.Collation.String()
 	if s.Offset > 0 {
-		parts = append(parts, fmt.Sprintf("offset=%d", s.Offset))
+		a += ", offset=" + strconv.FormatInt(s.Offset, 10)
 	}
 	if s.Fetch >= 0 {
-		parts = append(parts, fmt.Sprintf("fetch=%d", s.Fetch))
+		a += ", fetch=" + strconv.FormatInt(s.Fetch, 10)
 	}
-	return strings.Join(parts, ", ")
+	return a
 }
 
 func (s *Sort) WithNewInputs(inputs []Node) Node {

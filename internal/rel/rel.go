@@ -53,37 +53,112 @@ type Synthetic interface {
 	SyntheticNode()
 }
 
+// Placeholder marks nodes that stand for a planner-owned equivalence set
+// rather than one expression (the Volcano planner's subset references).
+// Their digests name the set, so they — and every digest composed from
+// them — change when the planner merges sets; see Memo.ForgetPlaceholders.
+type Placeholder interface {
+	PlaceholderNode()
+}
+
 // Digest returns the canonical digest of the subtree rooted at n. Two nodes
 // with equal digests produce the same multiset of rows.
 func Digest(n Node) string {
-	var b strings.Builder
-	writeDigest(n, &b)
-	return b.String()
+	return NewMemo().Digest(n)
 }
 
-func writeDigest(n Node, b *strings.Builder) {
-	b.WriteString(n.Op())
-	conv := n.Traits().Convention
-	if conv != nil && !trait.SameConvention(conv, trait.Logical) {
-		b.WriteByte('.')
-		b.WriteString(conv.ConventionName())
+// Memo memoizes node digests for one planning session. Nodes and their rex
+// expressions are immutable after construction, so a digest is composed
+// once from the node's operator, convention and attributes plus its inputs'
+// memoized digests, and no subtree is rendered twice. Digests are keyed by
+// node identity; a Memo is owned by one metadata session (meta.Query) and
+// is not safe for concurrent use.
+type Memo struct {
+	entries map[Node]memoEntry
+}
+
+type memoEntry struct {
+	digest string
+	// placeholder records that the digest depends on a Placeholder.
+	placeholder bool
+}
+
+// NewMemo returns an empty digest memo.
+func NewMemo() *Memo {
+	return &Memo{entries: map[Node]memoEntry{}}
+}
+
+// Digest returns n's digest, computing and memoizing it (and those of its
+// inputs) on first use.
+func (m *Memo) Digest(n Node) string { return m.entry(n).digest }
+
+// Range calls fn for every memoized node and digest, in no particular
+// order.
+func (m *Memo) Range(fn func(n Node, digest string)) {
+	for n, e := range m.entries {
+		fn(n, e.digest)
 	}
-	if a := n.Attrs(); a != "" {
+}
+
+// ForgetPlaceholders drops every digest that depends on a Placeholder node:
+// the planner calls it when it renames the sets placeholders refer to.
+func (m *Memo) ForgetPlaceholders() {
+	for n, e := range m.entries {
+		if e.placeholder {
+			delete(m.entries, n)
+		}
+	}
+}
+
+func (m *Memo) entry(n Node) memoEntry {
+	if e, ok := m.entries[n]; ok {
+		return e
+	}
+	_, placeholder := n.(Placeholder)
+	op := n.Op()
+	conv := n.Traits().Convention
+	physical := conv != nil && !trait.SameConvention(conv, trait.Logical)
+	var convName string
+	if physical {
+		convName = conv.ConventionName()
+	}
+	attrs := n.Attrs()
+	inputs := n.Inputs()
+	var buf [4]memoEntry
+	children := buf[:0]
+	size := len(op) + len(convName) + len(attrs) + 5 + len(inputs)
+	for _, in := range inputs {
+		c := m.entry(in)
+		children = append(children, c)
+		size += len(c.digest)
+		placeholder = placeholder || c.placeholder
+	}
+
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(op)
+	if physical {
+		b.WriteByte('.')
+		b.WriteString(convName)
+	}
+	if attrs != "" {
 		b.WriteByte('{')
-		b.WriteString(a)
+		b.WriteString(attrs)
 		b.WriteByte('}')
 	}
-	inputs := n.Inputs()
-	if len(inputs) > 0 {
+	if len(children) > 0 {
 		b.WriteByte('(')
-		for i, in := range inputs {
+		for i, c := range children {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			writeDigest(in, b)
+			b.WriteString(c.digest)
 		}
 		b.WriteByte(')')
 	}
+	e := memoEntry{digest: b.String(), placeholder: placeholder}
+	m.entries[n] = e
+	return e
 }
 
 // Explain renders the subtree as an indented multi-line plan, the format

@@ -2,6 +2,7 @@ package rex
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"calcite/internal/types"
@@ -151,12 +152,14 @@ func (a AggCall) String() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "$%d", arg)
+			b.WriteByte('$')
+			b.WriteString(strconv.Itoa(arg))
 		}
 	}
 	b.WriteByte(')')
 	if a.FilterArg >= 0 {
-		fmt.Fprintf(&b, " FILTER $%d", a.FilterArg)
+		b.WriteString(" FILTER $")
+		b.WriteString(strconv.Itoa(a.FilterArg))
 	}
 	return b.String()
 }

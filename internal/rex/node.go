@@ -6,7 +6,7 @@
 package rex
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"calcite/internal/types"
@@ -33,7 +33,7 @@ func NewInputRef(index int, t *types.Type) *InputRef {
 }
 
 func (r *InputRef) Type() *types.Type { return r.T }
-func (r *InputRef) String() string    { return fmt.Sprintf("$%d", r.Index) }
+func (r *InputRef) String() string    { return "$" + strconv.Itoa(r.Index) }
 
 // Literal is a constant value.
 type Literal struct {
@@ -90,17 +90,42 @@ func NewCallTyped(op *Operator, t *types.Type, operands ...Node) *Call {
 func (c *Call) Type() *types.Type { return c.T }
 
 func (c *Call) String() string {
-	args := make([]string, len(c.Operands))
-	for i, o := range c.Operands {
-		args[i] = o.String()
+	var b strings.Builder
+	c.writeTo(&b)
+	return b.String()
+}
+
+// writeTo renders the call into b, nested calls and column references
+// included, so a whole condition renders into one buffer.
+func (c *Call) writeTo(b *strings.Builder) {
+	if c.Op == OpCast {
+		b.WriteString("CAST(")
+		writeNode(b, c.Operands[0])
+		b.WriteString(" AS ")
+		b.WriteString(c.T.String())
+		b.WriteByte(')')
+		return
 	}
-	switch {
-	case c.Op == OpCast:
-		return fmt.Sprintf("CAST(%s AS %s)", args[0], c.T)
-	case c.Op.Kind == KindBinary && len(args) == 2:
-		return fmt.Sprintf("%s(%s, %s)", c.Op.Name, args[0], args[1])
+	b.WriteString(c.Op.Name)
+	b.WriteByte('(')
+	for i, o := range c.Operands {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeNode(b, o)
+	}
+	b.WriteByte(')')
+}
+
+func writeNode(b *strings.Builder, n Node) {
+	switch x := n.(type) {
+	case *Call:
+		x.writeTo(b)
+	case *InputRef:
+		b.WriteByte('$')
+		b.WriteString(strconv.Itoa(x.Index))
 	default:
-		return fmt.Sprintf("%s(%s)", c.Op.Name, strings.Join(args, ", "))
+		b.WriteString(n.String())
 	}
 }
 
@@ -111,7 +136,7 @@ type DynamicParam struct {
 }
 
 func (p *DynamicParam) Type() *types.Type { return p.T }
-func (p *DynamicParam) String() string    { return fmt.Sprintf("?%d", p.Index) }
+func (p *DynamicParam) String() string    { return "?" + strconv.Itoa(p.Index) }
 
 // CorrelVariable references the row of an enclosing query (used by
 // correlated subqueries; kept minimal in this reproduction).

@@ -10,7 +10,9 @@ package types
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind enumerates the built-in type constructors.
@@ -358,27 +360,47 @@ func LeastRestrictive(a, b *Type) *Type {
 }
 
 // ConcatFields returns a new slice of fields combining left and right,
-// renaming duplicates with a numeric suffix (mirroring join output naming).
+// renaming duplicates with a numeric suffix (mirroring join output naming):
+// a field whose name (compared case-insensitively) appeared k times earlier
+// gets suffix k.
 func ConcatFields(left, right []Field) []Field {
-	out := make([]Field, 0, len(left)+len(right))
-	seen := map[string]int{}
-	add := func(f Field) {
-		name := f.Name
-		lower := strings.ToLower(name)
-		if n, ok := seen[lower]; ok {
-			n++
-			seen[lower] = n
-			name = fmt.Sprintf("%s%d", f.Name, n-1)
-		} else {
-			seen[lower] = 1
+	out := append(append(make([]Field, 0, len(left)+len(right)), left...), right...)
+	// Rename from the end, so every field a name is counted against still
+	// carries its original name. The scan is quadratic but allocation-free;
+	// join rows are tens of fields wide, and the join-order enumeration
+	// builds one per candidate join.
+	for i := len(out) - 1; i > 0; i-- {
+		dups := 0
+		for j := 0; j < i; j++ {
+			if sameFieldName(out[j].Name, out[i].Name) {
+				dups++
+			}
 		}
-		out = append(out, Field{Name: name, Type: f.Type})
-	}
-	for _, f := range left {
-		add(f)
-	}
-	for _, f := range right {
-		add(f)
+		if dups > 0 {
+			out[i].Name += strconv.Itoa(dups)
+		}
 	}
 	return out
+}
+
+// sameFieldName reports whether strings.ToLower(a) == strings.ToLower(b),
+// without allocating for ASCII names.
+func sameFieldName(a, b string) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		ca, cb := a[i], b[i]
+		if ca >= utf8.RuneSelf || cb >= utf8.RuneSelf {
+			return strings.ToLower(a[i:]) == strings.ToLower(b[i:])
+		}
+		if lowerASCII(ca) != lowerASCII(cb) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
 }

@@ -188,6 +188,27 @@ func TestConcatFieldsRenamesDuplicates(t *testing.T) {
 	if out[0].Name != "id" || out[3].Name != "x" {
 		t.Errorf("unexpected names: %v", out)
 	}
+
+	// Names collide when equal after strings.ToLower; the suffix counts the
+	// earlier collisions. Non-ASCII names follow ToLower exactly: "ſ" and
+	// "s" stay distinct, "İd" lowers to "id".
+	var left, right []Field
+	for _, n := range []string{"id", "ID", "Name"} {
+		left = append(left, Field{n, BigInt})
+	}
+	for _, n := range []string{"id", "name", "ſ", "s", "İd", "i̇d", "Straße", "STRASSE", "iD"} {
+		right = append(right, Field{n, BigInt})
+	}
+	want := []string{"id", "ID1", "Name", "id2", "name1", "ſ", "s", "İd3", "i̇d", "Straße", "STRASSE", "iD4"}
+	out = ConcatFields(left, right)
+	for i, f := range out {
+		if f.Name != want[i] {
+			t.Errorf("field %d = %q, want %q (all: %v)", i, f.Name, want[i], out)
+		}
+	}
+	if left[1].Name != "ID" || right[0].Name != "id" {
+		t.Errorf("inputs modified: %v %v", left, right)
+	}
 }
 
 func TestStatisticsLikeFieldIndex(t *testing.T) {
